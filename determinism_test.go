@@ -159,6 +159,11 @@ func TestReportsInvariantToPooling(t *testing.T) {
 			_, tr, err := ChaosTraced(5, "light")
 			return tr, err
 		}},
+		// Buffer reuse spans the fleet too: shards run on different
+		// goroutines against the process-global pools.
+		{"fleet-chaos", func() (string, error) {
+			return Metro(MetroOptions{Cells: 6, UEs: 36, Shards: 2, Seed: 11, Chaos: true})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -469,7 +469,7 @@ func (r *runner) scheduleTraffic() {
 			r.d.SendDownlink(id, stampPacket(dirDown, id, r.dlSeq[id], r.p.PacketBytes))
 		}
 		if r.eng.Now()+period < stopAt {
-			r.eng.After(period, "chaos.traffic", tick)
+			r.eng.AfterPooled(period, "chaos.traffic", tick)
 		}
 	}
 	r.eng.At(40*sim.Millisecond, "chaos.traffic", tick)

@@ -60,16 +60,24 @@ func (c *Channel) NoiseVar() float64 {
 
 // Transmit passes unit-power symbols through the channel: applies the
 // complex gain and adds complex AWGN at the current SNR. The input is not
-// modified.
+// modified; the output is a fresh slice (see TransmitInto).
 func (c *Channel) Transmit(symbols []complex128) []complex128 {
+	return c.TransmitInto(make([]complex128, len(symbols)), symbols)
+}
+
+// TransmitInto is Transmit writing into dst, which must be at least
+// len(src) long, and returns dst[:len(src)]. dst may be src itself: each
+// sample is read before its slot is written, so the channel can run in
+// place over a caller-owned buffer. The RNG draw order is Transmit's.
+func (c *Channel) TransmitInto(dst, src []complex128) []complex128 {
 	h := c.Gain()
 	sigma := math.Sqrt(c.NoiseVar() / 2)
-	out := make([]complex128, len(symbols))
-	for i, s := range symbols {
+	dst = dst[:len(src)]
+	for i, s := range src {
 		n := complex(c.rng.Norm()*sigma, c.rng.Norm()*sigma)
-		out[i] = s*h + n
+		dst[i] = s*h + n
 	}
-	return out
+	return dst
 }
 
 // EstimateChannel performs least-squares channel estimation from received

@@ -134,6 +134,28 @@ func TestChannelTransmitSNR(t *testing.T) {
 	}
 }
 
+// TestChannelTransmitIntoInPlace checks that the in-place form produces
+// exactly the allocating form's samples (same RNG draws) without
+// allocating.
+func TestChannelTransmitIntoInPlace(t *testing.T) {
+	tx := Modulate(randomBits(sim.NewRNG(9), 600), QAM16)
+	want := NewChannel(12, 1, 0.9, sim.NewRNG(10)).Transmit(tx)
+	buf := append([]complex128(nil), tx...)
+	got := NewChannel(12, 1, 0.9, sim.NewRNG(10)).TransmitInto(buf, buf)
+	if len(got) != len(want) {
+		t.Fatalf("len %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sample %d: in place %v, allocating %v", i, got[i], want[i])
+		}
+	}
+	ch := NewChannel(12, 1, 0.9, sim.NewRNG(11))
+	if allocs := testing.AllocsPerRun(20, func() { ch.TransmitInto(buf, tx) }); allocs != 0 {
+		t.Fatalf("TransmitInto allocates %v/op", allocs)
+	}
+}
+
 func TestChannelFadingVaries(t *testing.T) {
 	rng := sim.NewRNG(5)
 	ch := NewChannel(15, 3, 0.9, rng)

@@ -165,9 +165,9 @@ func encodePDUs(b []byte, pdus []PDU) []byte {
 	return b
 }
 
-// decodePDUsInto appends the decoded PDUs to dst (reusing its capacity on
-// recycled messages). A zero-PDU body returns dst unchanged, so a fresh
-// message decodes a null config to a nil slice exactly as before.
+// decodePDUsInto appends the decoded PDUs to dst, reusing its capacity
+// (pooled messages start with pduCap). A zero-PDU body returns dst
+// unchanged.
 func decodePDUsInto(dst []PDU, b []byte) ([]PDU, error) {
 	if len(b) < 2 {
 		return nil, ErrTruncated

@@ -57,10 +57,20 @@ func GetSlotIndication(cell uint16, slot uint64) *SlotIndication {
 	return m
 }
 
+// pduCap is the PDU capacity a fresh UL/DL_CONFIG struct starts with.
+// Most slots are null configs, so a struct grown only on its first
+// non-null use would leave most of the pool at zero capacity and make
+// every scheduled slot pay for a growth; sizing at creation makes a warm
+// pool allocation-free for cells of up to pduCap UEs.
+const pduCap = 4
+
 // GetULConfig leases a UL_CONFIG with zero PDUs (append to m.PDUs).
 func GetULConfig(cell uint16, slot uint64) *ULConfig {
 	m := poolULConfig.Get()
 	m.CellID, m.Slot = cell, slot
+	if m.PDUs == nil {
+		m.PDUs = make([]PDU, 0, pduCap)
+	}
 	return m
 }
 
@@ -68,6 +78,9 @@ func GetULConfig(cell uint16, slot uint64) *ULConfig {
 func GetDLConfig(cell uint16, slot uint64) *DLConfig {
 	m := poolDLConfig.Get()
 	m.CellID, m.Slot = cell, slot
+	if m.PDUs == nil {
+		m.PDUs = make([]PDU, 0, pduCap)
+	}
 	return m
 }
 

@@ -252,6 +252,48 @@ func TestGetCaches(t *testing.T) {
 	}
 }
 
+// TestCodeGraphPinned pins NewCode's Tanner graph for a few shapes by a
+// hash over every CSR array: the construction must stay exactly the one
+// encoders and decoders of earlier builds derived from (K, N, seed).
+func TestCodeGraphPinned(t *testing.T) {
+	for _, tc := range []struct {
+		k, n  int
+		seed  uint64
+		hash  uint64
+		edges int
+	}{
+		{256, 512, 0x1, 0x632c9f22ba204306, 1279},
+		{256, 512, 0x517e, 0xa3284a6505cf8c6e, 1279},
+		{64, 128, 0x7, 0x46cb13df3c9e95dc, 319},
+		{40, 100, 0x3, 0x64e8d38addbb2c70, 299},
+	} {
+		c := NewCode(tc.k, tc.n, tc.seed)
+		h := uint64(0xcbf29ce484222325)
+		for _, xs := range [][]int32{c.edgeVar, c.rowStart, c.varStart, c.varEdge, c.varEdgeRow, c.encTaps} {
+			for _, x := range xs {
+				h ^= uint64(uint32(x))
+				h *= 0x100000001b3
+			}
+		}
+		if h != tc.hash || c.Edges() != tc.edges {
+			t.Errorf("NewCode(%d, %d, %#x): graph hash %#x edges %d, want %#x edges %d",
+				tc.k, tc.n, tc.seed, h, c.Edges(), tc.hash, tc.edges)
+		}
+	}
+}
+
+// TestScratchPooledPerShape checks that codes differing only in seed share
+// one set of decoder scratch pools, and different shapes do not.
+func TestScratchPooledPerShape(t *testing.T) {
+	a, b := NewCode(256, 512, 1), NewCode(256, 512, 2)
+	if a.pools != b.pools {
+		t.Fatal("same-shape codes keep separate scratch pools")
+	}
+	if c := NewCode(64, 128, 1); c.pools == a.pools {
+		t.Fatal("different shapes share scratch pools")
+	}
+}
+
 func TestCodeRate(t *testing.T) {
 	if r := NewCode(100, 200, 1).Rate(); r != 0.5 {
 		t.Fatalf("Rate = %f", r)

@@ -3,6 +3,7 @@ package fec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"slingshot/internal/sim"
@@ -18,22 +19,15 @@ type Code struct {
 	K, N int // info bits, total coded bits
 	M    int // parity bits = N - K
 
-	// rows[i] holds the info-bit column indices checked by parity row i.
-	rows [][]int
-	// rowVars[i] holds all variable indices of parity row i, including the
-	// accumulator parity columns. Retained for the reference decoder (see
-	// reference.go); the production kernel walks the CSR arrays below.
-	rowVars [][]int
-	// varRows[v] holds, for each variable (coded bit) v, the parity rows
-	// that reference it.
-	varRows [][]int
-	edges   int
+	edges int
 
 	// CSR edge layout of the Tanner graph, row-major: edge e of row i sits
 	// at edgeVar[rowStart[i]:rowStart[i+1]] and names the variable column it
-	// touches. One flat int32 array replaces the per-row []int pointer
-	// chase, so the min-sum inner loops stream contiguous memory and the
-	// same index pass can serve a whole SoA lane group (soa.go).
+	// touches — row i's InfoWeight info columns, its own parity column K+i,
+	// then the previous parity column K+i-1 (i > 0). One flat int32 array
+	// serves every kernel, so the min-sum inner loops stream contiguous
+	// memory and the same index pass can serve a whole SoA lane group
+	// (soa.go).
 	edgeVar  []int32
 	rowStart []int32
 	// Variable-major mirror: varEdge[varStart[v]:varStart[v+1]] lists the
@@ -44,21 +38,42 @@ type Code struct {
 	varStart   []int32
 	varEdge    []int32
 	varEdgeRow []int32
-	// encTaps flattens rows for the encoder: InfoWeight info columns per
-	// parity row, contiguous, so EncodeInto streams one int32 array.
+	// encTaps lists each parity row's InfoWeight info columns contiguously,
+	// so EncodeInto streams one int32 array.
 	encTaps []int32
 
-	// scratch pools per-decode working state. Decoder scratch used to live
-	// directly on Code (c2v/posterior/hard fields), which silently aliased
-	// state between every decoder sharing the cached *Code — fine while the
-	// whole simulator was single-threaded, but a data race (and a wrong-
-	// answer generator: interleaved decodes corrupting each other's
-	// messages) the moment two goroutines decode through one Code. Pooled
-	// DecodeScratch makes the shared, immutable Tanner graph safe to decode
-	// concurrently; see TestDecodeSharedCodeConcurrently.
-	scratch sync.Pool
-	// soaPool pools lane-major scratch for the SoA batch decoder (soa.go).
-	soaPool sync.Pool
+	// pools is the decoder scratch shared by every code of this shape.
+	// Scratch used to live directly on Code, which aliased state between
+	// every decoder sharing the cached *Code — a data race (and a
+	// wrong-answer generator) the moment two goroutines decode through one
+	// Code; see TestDecodeSharedCodeConcurrently.
+	pools *shapePools
+}
+
+// shapePools pools decoder scratch per code shape. Scratch is sized only
+// by (K, N, edges), and every decode writes each element before reading
+// it, so codes that differ only in their seed — one per cell — share one
+// set of buffers instead of keeping one each.
+type shapePools struct {
+	scratch sync.Pool // *DecodeScratch
+	soa     sync.Pool // *soaScratch (soa.go)
+}
+
+var (
+	shapeMu    sync.Mutex
+	shapeTable = map[[3]int]*shapePools{}
+)
+
+func poolsFor(k, n, edges int) *shapePools {
+	key := [3]int{k, n, edges}
+	shapeMu.Lock()
+	defer shapeMu.Unlock()
+	sp := shapeTable[key]
+	if sp == nil {
+		sp = &shapePools{}
+		shapeTable[key] = sp
+	}
+	return sp
 }
 
 // DecodeScratch is the per-call working state of the min-sum decoder:
@@ -92,14 +107,14 @@ func (c *Code) NewScratch() *DecodeScratch {
 
 // getScratch fetches pooled scratch (allocating on first use).
 func (c *Code) getScratch() *DecodeScratch {
-	if s, ok := c.scratch.Get().(*DecodeScratch); ok {
+	if s, ok := c.pools.scratch.Get().(*DecodeScratch); ok {
 		return s
 	}
 	return c.NewScratch()
 }
 
 // putScratch returns scratch to the pool.
-func (c *Code) putScratch(s *DecodeScratch) { c.scratch.Put(s) }
+func (c *Code) putScratch(s *DecodeScratch) { c.pools.scratch.Put(s) }
 
 // InfoWeight is the number of information bits combined per parity row.
 const InfoWeight = 3
@@ -115,7 +130,6 @@ func NewCode(k, n int, seed uint64) *Code {
 	c := &Code{K: k, N: n, M: m}
 	rng := sim.NewRNG(seed ^ uint64(k)<<20 ^ uint64(n))
 
-	c.rows = make([][]int, m)
 	// Ensure every info bit is referenced at least once by dealing the
 	// first ceil(m*InfoWeight / k) passes as shuffled permutations.
 	deck := make([]int, k)
@@ -123,7 +137,7 @@ func NewCode(k, n int, seed uint64) *Code {
 		deck[i] = i
 	}
 	pos := k // force reshuffle on first draw
-	draw := func() int {
+	draw := func() int32 {
 		if pos >= k {
 			for i := k - 1; i > 0; i-- {
 				j := rng.Intn(i + 1)
@@ -133,72 +147,32 @@ func NewCode(k, n int, seed uint64) *Code {
 		}
 		v := deck[pos]
 		pos++
-		return v
+		return int32(v)
 	}
+	taps := make([]int32, 0, m*InfoWeight)
 	for i := 0; i < m; i++ {
-		row := make([]int, 0, InfoWeight)
-		for len(row) < InfoWeight {
-			v := draw()
-			dup := false
-			for _, r := range row {
-				if r == v {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				row = append(row, v)
+		row := len(taps)
+		for len(taps)-row < InfoWeight {
+			if v := draw(); !slices.Contains(taps[row:], v) {
+				taps = append(taps, v)
 			}
 		}
-		c.rows[i] = row
 	}
+	c.encTaps = taps
 
-	c.encTaps = make([]int32, 0, m*InfoWeight)
-	for _, row := range c.rows {
-		for _, v := range row {
-			c.encTaps = append(c.encTaps, int32(v))
-		}
-	}
-
-	// Build variable -> rows adjacency including parity columns.
-	c.varRows = make([][]int, n)
-	for i, row := range c.rows {
-		for _, v := range row {
-			c.varRows[v] = append(c.varRows[v], i)
-		}
-		c.varRows[k+i] = append(c.varRows[k+i], i)
-		if i+1 < m {
-			// Parity bit i also appears in row i+1 (accumulator chain).
-			c.varRows[k+i] = append(c.varRows[k+i], i+1)
-		}
-	}
-	for _, rs := range c.varRows {
-		c.edges += len(rs)
-	}
-
-	// Flattened per-row adjacency for the decoder: info columns, own
-	// parity column K+i, and the previous parity column K+i-1 (i > 0).
-	c.rowVars = make([][]int, m)
-	for i := range c.rows {
-		rv := make([]int, 0, InfoWeight+2)
-		rv = append(rv, c.rows[i]...)
-		rv = append(rv, k+i)
-		if i > 0 {
-			rv = append(rv, k+i-1)
-		}
-		c.rowVars[i] = rv
-	}
-
-	// CSR mirror of rowVars for the flat decode kernels.
 	c.rowStart = make([]int32, m+1)
-	c.edgeVar = make([]int32, 0, c.edges)
-	for i, rv := range c.rowVars {
+	c.edgeVar = make([]int32, 0, m*(InfoWeight+2)-1)
+	for i := 0; i < m; i++ {
 		c.rowStart[i] = int32(len(c.edgeVar))
-		for _, v := range rv {
-			c.edgeVar = append(c.edgeVar, int32(v))
+		c.edgeVar = append(c.edgeVar, taps[i*InfoWeight:(i+1)*InfoWeight]...)
+		c.edgeVar = append(c.edgeVar, int32(k+i))
+		if i > 0 {
+			c.edgeVar = append(c.edgeVar, int32(k+i-1))
 		}
 	}
 	c.rowStart[m] = int32(len(c.edgeVar))
+	c.edges = len(c.edgeVar)
+	c.pools = poolsFor(k, n, c.edges)
 
 	// Variable-major mirror, filled in row order per variable so the
 	// kernels' posterior sums run in the reference accumulation order.
@@ -310,7 +284,7 @@ func post1(rs *[3]uint64, ab, ms uint64) float64 {
 // reuse of) the same scratch — copy it out before releasing s.
 //
 // The kernel is the flat, branch-free restatement of the textbook min-sum
-// loop retained in reference.go, bit-exact with it for finite LLR inputs
+// loop retained in reference_test.go, bit-exact with it for finite LLR inputs
 // (TestDecodeMatchesReference). Three structural changes carry the speedup:
 //
 //   - Messages live in the bit domain: sign products XOR sign bits and the
@@ -519,8 +493,9 @@ func (c *Code) DecodeWithScratch(llr []float64, maxIters int, s *DecodeScratch) 
 	return result
 }
 
-// parityOKFlat is checkParity over the CSR layout: per-row XOR of hard
-// bits with an early exit on the first violated check.
+// parityOKFlat reports whether all M parity checks are satisfied by the
+// hard-decision bits: per-row XOR over the CSR layout with an early exit
+// on the first violated check.
 func (c *Code) parityOKFlat(hard []byte) bool {
 	edgeVar, rowStart := c.edgeVar, c.rowStart
 	for i := 0; i < c.M; i++ {
@@ -539,24 +514,6 @@ func (c *Code) parityOKFlat(hard []byte) bool {
 		if x != 0 {
 			return false
 		}
-	}
-	return true
-}
-
-// checkParity reports whether all M parity checks are satisfied by the
-// hard-decision bits.
-func (c *Code) checkParity(bits []byte) bool {
-	var prev byte
-	for i, row := range c.rows {
-		var s byte
-		for _, v := range row {
-			s ^= bits[v]
-		}
-		s ^= bits[c.K+i] ^ prev
-		if s != 0 {
-			return false
-		}
-		prev = bits[c.K+i]
 	}
 	return true
 }

@@ -6,12 +6,54 @@ import (
 )
 
 // This file retains the pre-SIMD-shaped min-sum decoder verbatim: the
-// textbook formulation over the per-row rowVars slices, with float sign
-// flips and an explicit argmin index. It is the differential-test oracle
-// for the flat CSR kernel (ira.go) and the SoA lane-group kernel (soa.go)
-// — TestDecodeMatchesReference and friends assert the production paths are
-// bit-exact against it — and the plainest statement of the algorithm for
-// readers. It is not called from any hot path.
+// textbook formulation over nested per-row adjacency slices, with float
+// sign flips and an explicit argmin index. It is the differential-test
+// oracle for the flat CSR kernel (ira.go) and the SoA lane-group kernel
+// (soa.go) — TestDecodeMatchesReference and friends assert the production
+// paths are bit-exact against it — and the plainest statement of the
+// algorithm for readers. Code keeps only its CSR arrays, so the nested
+// graph the oracle walks is rebuilt from them here.
+
+// rowVars returns the nested per-row adjacency: rowVars()[i] lists every
+// variable of parity row i — its InfoWeight info columns, its own parity
+// column K+i and, for i > 0, the accumulator's previous column K+i-1.
+func (c *Code) rowVars() [][]int {
+	out := make([][]int, c.M)
+	for i := range out {
+		for _, v := range c.edgeVar[c.rowStart[i]:c.rowStart[i+1]] {
+			out[i] = append(out[i], int(v))
+		}
+	}
+	return out
+}
+
+// infoRows returns each parity row's info-bit columns (the first
+// InfoWeight entries of its adjacency).
+func (c *Code) infoRows() [][]int {
+	rows := c.rowVars()
+	for i := range rows {
+		rows[i] = rows[i][:InfoWeight]
+	}
+	return rows
+}
+
+// checkParity reports whether all M parity checks are satisfied by the
+// hard-decision bits, walking the accumulator chain row by row.
+func (c *Code) checkParity(bits []byte) bool {
+	var prev byte
+	for i, row := range c.infoRows() {
+		var s byte
+		for _, v := range row {
+			s ^= bits[v]
+		}
+		s ^= bits[c.K+i] ^ prev
+		if s != 0 {
+			return false
+		}
+		prev = bits[c.K+i]
+	}
+	return true
+}
 
 // referenceScratch is the reference decoder's working state, laid out the
 // way the original decoder kept it: per-row message slices over one flat
@@ -24,8 +66,8 @@ type referenceScratch struct {
 	info      []byte
 }
 
-// NewReferenceScratch allocates reference-decoder scratch for the code.
-func (c *Code) NewReferenceScratch() *referenceScratch {
+// newReferenceScratch allocates reference-decoder scratch for the code.
+func (c *Code) newReferenceScratch(rowVars [][]int) *referenceScratch {
 	s := &referenceScratch{
 		c2v:       make([][]float64, c.M),
 		c2vFlat:   make([]float64, c.edges),
@@ -34,7 +76,7 @@ func (c *Code) NewReferenceScratch() *referenceScratch {
 		info:      make([]byte, c.K),
 	}
 	off := 0
-	for i, rv := range c.rowVars {
+	for i, rv := range rowVars {
 		s.c2v[i] = s.c2vFlat[off : off+len(rv)]
 		off += len(rv)
 	}
@@ -45,13 +87,14 @@ func (c *Code) NewReferenceScratch() *referenceScratch {
 // (inputs, outputs, iteration accounting, early stop) match Decode; the
 // returned Info is a fresh copy.
 func (c *Code) DecodeReference(llr []float64, maxIters int) DecodeResult {
-	s := c.NewReferenceScratch()
-	res := c.decodeReferenceWithScratch(llr, maxIters, s)
+	rowVars := c.rowVars()
+	s := c.newReferenceScratch(rowVars)
+	res := c.decodeReferenceWithScratch(llr, maxIters, rowVars, s)
 	res.Info = append([]byte(nil), res.Info...)
 	return res
 }
 
-func (c *Code) decodeReferenceWithScratch(llr []float64, maxIters int, s *referenceScratch) DecodeResult {
+func (c *Code) decodeReferenceWithScratch(llr []float64, maxIters int, rowVars [][]int, s *referenceScratch) DecodeResult {
 	if len(llr) != c.N {
 		panic(fmt.Sprintf("fec: Decode got %d LLRs, code N=%d", len(llr), c.N))
 	}
@@ -60,7 +103,6 @@ func (c *Code) decodeReferenceWithScratch(llr []float64, maxIters int, s *refere
 	}
 	const alpha = msAlpha
 
-	rowVars := c.rowVars
 	c2v := s.c2v
 	for i := range s.c2vFlat {
 		s.c2vFlat[i] = 0

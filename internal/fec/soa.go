@@ -45,13 +45,13 @@ func (c *Code) newSoAScratch() *soaScratch {
 }
 
 func (c *Code) getSoAScratch() *soaScratch {
-	if s, ok := c.soaPool.Get().(*soaScratch); ok {
+	if s, ok := c.pools.soa.Get().(*soaScratch); ok {
 		return s
 	}
 	return c.newSoAScratch()
 }
 
-func (c *Code) putSoAScratch(s *soaScratch) { c.soaPool.Put(s) }
+func (c *Code) putSoAScratch(s *soaScratch) { c.pools.soa.Put(s) }
 
 // allBad is the packed parity accumulator value meaning "every lane has a
 // violated check": hard bits are 0/1 bytes, so a violated lane accumulates

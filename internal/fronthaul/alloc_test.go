@@ -6,13 +6,11 @@ import (
 	"slingshot/internal/mem"
 )
 
-// TestPacketRoundTripAllocs pins the pooled fronthaul TX path: building a
-// U-plane packet (pooled struct + pooled BFP payload), serializing,
-// recycling, and decoding the wire bytes back (including IQ decompression
-// into a reused buffer). Serialize's wire buffer and Decode's packet struct
-// are the only remaining allocations — the wire buffer's ownership
-// transfers to the frame consumer and decoded packets alias the frame, so
-// neither is pooled by design.
+// TestPacketRoundTripAllocs pins the garbage-free fronthaul path: building
+// a U-plane packet (pooled struct + pooled BFP payload), serializing into a
+// pooled wire buffer, recycling, decoding the wire bytes back into a
+// receiver-owned packet, parsing sections into a reused slice and
+// decompressing IQ into a reused buffer — zero allocations per cycle.
 func TestPacketRoundTripAllocs(t *testing.T) {
 	if mem.DetectorArmed() {
 		t.Skip("pool leak detector armed (-race or SLINGSHOT_POOL=debug); its bookkeeping allocates")
@@ -24,26 +22,44 @@ func TestPacketRoundTripAllocs(t *testing.T) {
 		iq[i] = complex(float64(i%7)/3.5-1, float64(i%5)/2.5-1)
 	}
 	slot := SlotFromCounter(4)
-	var iqBuf []complex128
+	secs := []Section{{UEID: 1, Dir: Uplink, NumPRB: 4, GrantSlot: 9}, {UEID: 2, Dir: Downlink}}
+	var (
+		iqBuf  []complex128
+		rx     Packet
+		secBuf []Section
+	)
 	cycle := func() {
 		pkt, err := NewUplinkIQ(3, 1, slot, 0, 10, iq, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wire := pkt.Serialize()
+		wire := pkt.SerializePooled()
 		mem.PutBytes(pkt.Payload)
 		pkt.Recycle()
-		rx, err := Decode(wire)
-		if err != nil {
+		if err := DecodeInto(&rx, wire); err != nil {
 			t.Fatal(err)
 		}
 		iqBuf, err = rx.AppendIQ(iqBuf[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
+		mem.PutBytes(wire)
+
+		ctl := NewControl(3, 2, Downlink, slot, uint8(len(secs)))
+		ctl.Payload = AppendSections(mem.GetBytesCap(SectionsSize(len(secs))), secs)
+		wire = ctl.SerializePooled()
+		mem.PutBytes(ctl.Payload)
+		ctl.Recycle()
+		if err := DecodeInto(&rx, wire); err != nil {
+			t.Fatal(err)
+		}
+		if secBuf, err = AppendDecodeSections(secBuf[:0], rx.Payload); err != nil || len(secBuf) != len(secs) {
+			t.Fatalf("sections: %v, %d parsed", err, len(secBuf))
+		}
+		mem.PutBytes(wire)
 	}
-	cycle() // prime the packet and buffer pools, size iqBuf
-	if avg := testing.AllocsPerRun(200, cycle); avg > 2 {
-		t.Fatalf("packet round trip allocates %.1f times, want <= 2 (wire buffer + decoded struct)", avg)
+	cycle() // prime the packet and buffer pools, size iqBuf and secBuf
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("packet round trip allocates %.1f times, want 0", avg)
 	}
 }

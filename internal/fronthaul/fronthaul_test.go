@@ -3,6 +3,7 @@ package fronthaul
 import (
 	"math"
 	"math/cmplx"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -190,6 +191,33 @@ func TestPacketDecodeProperty(t *testing.T) {
 	}
 }
 
+// TestDecodeIntoOverwritesEveryField decodes packets of opposite
+// direction, type and sidecar into one reused Packet: each result must
+// equal a fresh Decode, so nothing from the previous frame survives.
+func TestDecodeIntoOverwritesEveryField(t *testing.T) {
+	dl := NewControl(9, 200, Downlink, SlotID{7, 2, 1}, 4)
+	dl.Payload = []byte{1, 2, 3}
+	dl.Aux = []byte{4, 5}
+	ul, err := NewUplinkIQ(3, 1, SlotID{1, 0, 0}, 2, 1, randomIQ(sim.NewRNG(5), 12), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reused Packet
+	for _, src := range []*Packet{dl, ul, dl} {
+		wire := src.Serialize()
+		want, err := Decode(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeInto(&reused, wire); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&reused, want) {
+			t.Fatalf("DecodeInto into a reused packet = %+v, want %+v", reused, *want)
+		}
+	}
+}
+
 func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode([]byte{1, 2}); err != ErrShortPacket {
 		t.Fatalf("short: %v", err)
@@ -269,6 +297,12 @@ func TestSectionsRoundTrip(t *testing.T) {
 		if got[i] != secs[i] {
 			t.Fatalf("section %d: %+v vs %+v", i, got[i], secs[i])
 		}
+	}
+	// Appending keeps dst's prefix and reuses its capacity.
+	buf := make([]Section, 1, 8)
+	out, err := AppendDecodeSections(buf, EncodeSections(secs))
+	if err != nil || len(out) != 3 || &out[0] != &buf[0] || out[1] != secs[0] || out[2] != secs[1] {
+		t.Fatalf("AppendDecodeSections: %v %+v", err, out)
 	}
 }
 

@@ -143,37 +143,52 @@ func (p *Packet) TraceArgs() (a, b uint64) {
 // Decode parses a wire-format packet. The payload slice aliases data
 // (zero-copy); callers that retain it past the frame's lifetime must copy.
 func Decode(data []byte) (*Packet, error) {
+	p := new(Packet)
+	if err := DecodeInto(p, data); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// DecodeInto is Decode into a caller-owned packet, so a receiver that
+// handles one frame at a time can reuse one Packet for every frame. Every
+// field is overwritten on success; on error p's contents are unspecified.
+// Payload and Aux alias data, as with Decode.
+func DecodeInto(p *Packet, data []byte) error {
 	if len(data) < headerLen {
-		return nil, ErrShortPacket
+		return ErrShortPacket
 	}
-	p := &Packet{
-		Version: data[0] >> 4,
-		Type:    MessageType(data[0] & 0x0F),
-	}
-	if p.Version != CurrentVersion {
-		return nil, ErrBadVersion
+	if data[0]>>4 != CurrentVersion {
+		return ErrBadVersion
 	}
 	plen := int(binary.BigEndian.Uint16(data[1:3]))
 	alen := int(binary.BigEndian.Uint32(data[17:21]))
 	if len(data) < headerLen+plen+alen {
-		return nil, ErrShortPacket
+		return ErrShortPacket
 	}
-	p.EAxC = binary.BigEndian.Uint16(data[3:5])
-	p.Seq = data[5]
+	slot := SlotID{Frame: data[7], Subframe: data[8] >> 4, Slot: data[8] & 0x0F}
+	if !slot.Valid() {
+		return ErrBadSlot
+	}
+	dir := Uplink
 	if data[6]&0x80 != 0 {
-		p.Dir = Downlink
+		dir = Downlink
 	}
-	p.Slot = SlotID{Frame: data[7], Subframe: data[8] >> 4, Slot: data[8] & 0x0F}
-	if !p.Slot.Valid() {
-		return nil, ErrBadSlot
+	*p = Packet{
+		Version:      CurrentVersion,
+		Type:         MessageType(data[0] & 0x0F),
+		EAxC:         binary.BigEndian.Uint16(data[3:5]),
+		Seq:          data[5],
+		Dir:          dir,
+		Slot:         slot,
+		Section:      binary.BigEndian.Uint16(data[10:12]),
+		StartPRB:     binary.BigEndian.Uint16(data[12:14]),
+		NumPRB:       binary.BigEndian.Uint16(data[14:16]),
+		MantissaBits: data[16],
+		Payload:      data[headerLen : headerLen+plen],
+		Aux:          data[headerLen+plen : headerLen+plen+alen],
 	}
-	p.Section = binary.BigEndian.Uint16(data[10:12])
-	p.StartPRB = binary.BigEndian.Uint16(data[12:14])
-	p.NumPRB = binary.BigEndian.Uint16(data[14:16])
-	p.MantissaBits = data[16]
-	p.Payload = data[headerLen : headerLen+plen]
-	p.Aux = data[headerLen+plen : headerLen+plen+alen]
-	return p, nil
+	return nil
 }
 
 // PeekSlot extracts only the slot identifier and direction from a

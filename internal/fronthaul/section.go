@@ -3,6 +3,7 @@ package fronthaul
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 // Section is one C-plane section descriptor: it tells the RU (and, over
@@ -66,21 +67,29 @@ func AppendSections(dst []byte, sections []Section) []byte {
 
 // DecodeSections parses a C-plane section payload.
 func DecodeSections(data []byte) ([]Section, error) {
+	return AppendDecodeSections(nil, data)
+}
+
+// AppendDecodeSections is DecodeSections appending to dst, so a receiver
+// can parse every slot's sections into one reused slice. On error dst is
+// returned unchanged; a zero-section payload also returns dst unchanged
+// (nil for a nil dst, as DecodeSections always returned).
+func AppendDecodeSections(dst []Section, data []byte) ([]Section, error) {
 	if len(data) < 2 {
-		return nil, ErrBadSectionList
+		return dst, ErrBadSectionList
 	}
 	n := int(binary.BigEndian.Uint16(data[0:2]))
 	data = data[2:]
 	if len(data) < n*sectionWire {
-		return nil, ErrBadSectionList
+		return dst, ErrBadSectionList
 	}
 	if n == 0 {
-		return nil, nil
+		return dst, nil
 	}
-	out := make([]Section, n)
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		buf := data[i*sectionWire:]
-		out[i] = Section{
+		dst = append(dst, Section{
 			UEID:      binary.BigEndian.Uint16(buf[0:2]),
 			Dir:       Direction(buf[2]),
 			StartPRB:  binary.BigEndian.Uint16(buf[3:5]),
@@ -91,7 +100,7 @@ func DecodeSections(data []byte) ([]Section, error) {
 			NewData:   buf[10] == 1,
 			TBBytes:   binary.BigEndian.Uint32(buf[11:15]),
 			GrantSlot: binary.BigEndian.Uint64(buf[15:23]),
-		}
+		})
 	}
-	return out, nil
+	return dst, nil
 }

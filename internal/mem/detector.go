@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"unsafe"
 )
@@ -70,6 +71,33 @@ func detectorPut(b []byte) {
 		delete(detLeased, p)
 	}
 	detMu.Unlock()
+}
+
+// Poison patterns written over every released buffer in
+// SLINGSHOT_POOL=debug mode. They are fixed, so a component that reads a
+// buffer after giving it back sees the same garbage on every run: a
+// stale-alias bug shows up as a deterministic wrong report rather than as
+// pool-order nondeterminism.
+const (
+	poisonByte = 0xA5
+	poisonBits = 0xA5A5A5A5A5A5A5A5
+)
+
+// poisonIQ is the sample value written over released IQ buffers.
+var poisonIQ = complex(math.Float64frombits(poisonBits), math.Float64frombits(poisonBits))
+
+func poisonBytes(b []byte) {
+	b = b[:cap(b)]
+	for i := range b {
+		b[i] = poisonByte
+	}
+}
+
+func poisonComplex(b []complex128) {
+	b = b[:cap(b)]
+	for i := range b {
+		b[i] = poisonIQ
+	}
 }
 
 // LeakedLeases reports the number of leased-but-never-recycled buffers in

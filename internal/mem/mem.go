@@ -4,9 +4,10 @@
 // fronthaul payloads, FAPI wire encodings, LLR vectors, IQ grids, SDU
 // staging — whose lifetimes all end at a well-defined pipeline point
 // (packet serialized, message encoded, slot drained). This package gives
-// those paths size-classed free lists for []byte / []complex128 /
-// []float64, typed free lists for structs, and a slot-scoped Arena whose
-// leases are recycled in one call at pipeline drain.
+// those paths size-classed free lists for []byte / []complex128 and
+// typed free lists for structs. The pools are process-global and
+// concurrency-safe; components whose buffers live across calls own them
+// outright instead (DESIGN.md §10).
 //
 // Lifetime rules (see DESIGN.md §10 "Memory model"):
 //
@@ -25,10 +26,13 @@
 // disables recycling entirely: Get* degrade to plain make and Put* to
 // no-ops, which is the reference behavior determinism tests compare
 // against. SLINGSHOT_POOL=debug (or any -race build) arms a
-// double-free/leak detector.
+// double-free/leak detector; SLINGSHOT_POOL=debug also poisons every
+// released buffer, so a read through a stale alias changes the output
+// deterministically instead of depending on pool order.
 package mem
 
 import (
+	"math/bits"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -71,11 +75,10 @@ func classFor(n int) int {
 	if n > 1<<maxClassShift {
 		return -1
 	}
-	c := 0
-	for s := minClassShift; s < maxClassShift && 1<<s < n; s++ {
-		c++
+	if n <= 1<<minClassShift {
+		return 0
 	}
-	return c
+	return bits.Len(uint(n-1)) - minClassShift
 }
 
 // classUnder returns the largest class index whose capacity is ≤ c, or -1
@@ -84,11 +87,7 @@ func classUnder(c int) int {
 	if c < 1<<minClassShift {
 		return -1
 	}
-	k := numClasses - 1
-	for s := maxClassShift; s > minClassShift && 1<<s > c; s-- {
-		k--
-	}
-	return k
+	return min(bits.Len(uint(c))-1, maxClassShift) - minClassShift
 }
 
 // bufStack is one size class's free list. A mutex-guarded stack (rather
@@ -124,7 +123,6 @@ func (s *bufStack[T]) put(b []T) {
 var (
 	bytePools    [numClasses]bufStack[byte]
 	complexPools [numClasses]bufStack[complex128]
-	floatPools   [numClasses]bufStack[float64]
 )
 
 // GetBytes leases a []byte of length n (arbitrary contents — the caller
@@ -163,6 +161,9 @@ func PutBytes(b []byte) {
 	}
 	b = b[:0]
 	detectorPut(b)
+	if debugDetector {
+		poisonBytes(b)
+	}
 	bytePools[c].put(b)
 }
 
@@ -191,35 +192,10 @@ func PutComplex(b []complex128) {
 	if c < 0 {
 		return
 	}
+	if debugDetector {
+		poisonComplex(b)
+	}
 	complexPools[c].put(b[:0])
-}
-
-// GetFloats leases a []float64 of length n (arbitrary contents).
-func GetFloats(n int) []float64 { return GetFloatsCap(n)[:n] }
-
-// GetFloatsCap leases a zero-length []float64 with capacity ≥ n.
-func GetFloatsCap(n int) []float64 {
-	if Enabled() {
-		if c := classFor(n); c >= 0 {
-			if v := floatPools[c].get(); v != nil {
-				return v[:0]
-			}
-			return make([]float64, 0, 1<<(minClassShift+c))
-		}
-	}
-	return make([]float64, 0, n)
-}
-
-// PutFloats recycles a leased LLR/sample buffer.
-func PutFloats(b []float64) {
-	if !Enabled() || b == nil {
-		return
-	}
-	c := classUnder(cap(b))
-	if c < 0 {
-		return
-	}
-	floatPools[c].put(b[:0])
 }
 
 // Pool is a typed free list for struct staging (fronthaul packets, FAPI
@@ -256,67 +232,4 @@ func (p *Pool[T]) Put(v *T) {
 		p.Reset(v)
 	}
 	p.p.Put(v)
-}
-
-// Arena is a slot-scoped lease ledger: buffers leased through it during
-// one slot's processing are recycled together by a single ReleaseAll at
-// pipeline drain. Not safe for concurrent use — an Arena belongs to the
-// event-loop goroutine (or one worker's private staging).
-type Arena struct {
-	bytes   [][]byte
-	complex [][]complex128
-	floats  [][]float64
-}
-
-// Bytes leases a []byte of length n, tracked for ReleaseAll.
-func (a *Arena) Bytes(n int) []byte {
-	b := GetBytes(n)
-	a.bytes = append(a.bytes, b)
-	return b
-}
-
-// AppendTrack records an externally leased buffer (e.g. one grown by
-// append past its original capacity) so ReleaseAll recycles the final
-// backing array instead of the stale original.
-func (a *Arena) AppendTrack(b []byte) {
-	a.bytes = append(a.bytes, b)
-}
-
-// Complex leases a []complex128 of length n, tracked for ReleaseAll.
-func (a *Arena) Complex(n int) []complex128 {
-	b := GetComplex(n)
-	a.complex = append(a.complex, b)
-	return b
-}
-
-// Floats leases a []float64 of length n, tracked for ReleaseAll.
-func (a *Arena) Floats(n int) []float64 {
-	b := GetFloats(n)
-	a.floats = append(a.floats, b)
-	return b
-}
-
-// ReleaseAll recycles every outstanding lease and empties the ledger. The
-// Arena itself is reusable for the next slot.
-func (a *Arena) ReleaseAll() {
-	for i, b := range a.bytes {
-		PutBytes(b)
-		a.bytes[i] = nil
-	}
-	a.bytes = a.bytes[:0]
-	for i, b := range a.complex {
-		PutComplex(b)
-		a.complex[i] = nil
-	}
-	a.complex = a.complex[:0]
-	for i, b := range a.floats {
-		PutFloats(b)
-		a.floats[i] = nil
-	}
-	a.floats = a.floats[:0]
-}
-
-// Outstanding reports the number of tracked leases (test hook).
-func (a *Arena) Outstanding() int {
-	return len(a.bytes) + len(a.complex) + len(a.floats)
 }

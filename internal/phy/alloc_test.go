@@ -15,12 +15,10 @@ import (
 // TestUplinkSlotSteadyStateAllocs drives a configured PHY through full
 // DDDSU cycles — null configs every slot, a granted UL transmission with a
 // real decoded transport block each uplink slot — and asserts the
-// steady-state allocation bill per 5-slot cycle stays tiny. Everything the
-// PHY leases per slot (FAPI messages, IQ/LLR staging, fronthaul packets and
-// payloads, pending-UL containers) must come from pools; the residue is the
-// handful of by-design allocations (Serialize wire buffers whose ownership
-// leaves the PHY, decoded packet structs that alias the frame) plus
-// engine-internal noise.
+// steady-state cycle allocates nothing. Everything the PHY leases per slot
+// (FAPI messages, IQ/LLR staging, fronthaul packets, payloads and frames,
+// pending-UL containers) comes from pools, and the received packet is
+// decoded into PHY-owned staging.
 func TestUplinkSlotSteadyStateAllocs(t *testing.T) {
 	if mem.DetectorArmed() {
 		t.Skip("pool leak detector armed (-race or SLINGSHOT_POOL=debug); its bookkeeping allocates")
@@ -32,10 +30,10 @@ func TestUplinkSlotSteadyStateAllocs(t *testing.T) {
 
 	e := sim.NewEngine()
 	p := New(e, DefaultConfig(1), sim.NewRNG(1))
-	// The sink owns delivered messages outright, like the PHY-side Orion
-	// (it encodes and releases); frames hand their wire buffer over.
+	// The sinks own what they receive outright, like the PHY-side Orion
+	// (it encodes and releases) and the switch's terminal consumers.
 	p.SendFAPI = func(m fapi.Message) { fapi.ReleaseDeep(m) }
-	p.SendFronthaul = func(f *netmodel.Frame) { mem.PutBytes(f.Payload) }
+	p.SendFronthaul = netmodel.ReleaseFrame
 	p.HandleFAPI(&fapi.ConfigRequest{CellID: 0, NumPRB: 273, MantissaBits: 9, Seed: 99})
 	p.HandleFAPI(&fapi.StartRequest{CellID: 0})
 	p.Start()
@@ -98,13 +96,7 @@ func TestUplinkSlotSteadyStateAllocs(t *testing.T) {
 		mark += 5
 		e.RunUntil(SlotStart(mark))
 	})
-	t.Logf("allocs per 5-slot cycle: %.1f", avg)
-	// Per cycle by design (~23 measured): 5 Serialize wire buffers
-	// (heartbeats) + 1 decoded UL packet struct + TX frame structs, engine
-	// timer nodes, and change. The bound leaves slack for Go-version noise;
-	// a pooled path regressing to per-slot IQ/LLR/payload allocation blows
-	// well past it.
-	if avg > 30 {
-		t.Fatalf("steady-state uplink cycle allocates %.1f times, want <= 30", avg)
+	if avg != 0 {
+		t.Fatalf("steady-state uplink cycle allocates %.1f times, want 0", avg)
 	}
 }

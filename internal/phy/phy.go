@@ -1,8 +1,10 @@
 package phy
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"slingshot/internal/fapi"
@@ -129,9 +131,11 @@ type PHY struct {
 	cellOrder []uint16 // sorted ids: deterministic slot-processing order
 	crashed   bool
 	stopClock func()
-	// iqBuf is the recycled uplink IQ decompression buffer. receiveUL runs
-	// only on the event-loop goroutine and PrepareBlock copies the samples
-	// it needs, so one buffer serves every reception.
+	// rxPkt and iqBuf are the recycled receive staging: the decoded
+	// fronthaul packet and the uplink IQ decompression buffer. Frames are
+	// handled one at a time on the event-loop goroutine, and PrepareBlock
+	// copies the samples it needs, so one of each serves every reception.
+	rxPkt fronthaul.Packet
 	iqBuf []complex128
 	// ulJobs/ulResults/ulJobOf are the recycled drainUL FEC-batch staging:
 	// the slot's valid blocks become one fec.DecodeBatchInto call (runs of
@@ -151,6 +155,18 @@ type PHY struct {
 	// for the PHY's lifetime, a recycled arg struct per event.
 	fhTxFn  func(any)
 	drainFn func(any)
+	// dl carries transmitDL's parallel-phase inputs to the long-lived
+	// dlEncodeFn, so fanning a slot's encodes out allocates no closure.
+	dl         dlEncode
+	dlEncodeFn func(int)
+}
+
+// dlEncode is one transmitDL call's view for its parallel encode phase.
+type dlEncode struct {
+	c    *cell
+	slot uint64
+	cfg  *fapi.DLConfig
+	jobs []dlJob
 }
 
 // fhTxArg carries one scheduled fronthaul transmission.
@@ -269,6 +285,7 @@ func New(e *sim.Engine, cfg Config, rng *sim.RNG) *PHY {
 		ulDrainArgPool.Put(d)
 		p.drainUL(cell, slot)
 	}
+	p.dlEncodeFn = p.encodeDL
 	return p
 }
 
@@ -621,24 +638,12 @@ func (p *PHY) transmitDL(c *cell, slot uint64, dl *fapi.DLConfig) {
 		c.seq++
 	}
 
-	// Phase 2 (parallel): pure compute — encode, pad, BFP-compress. The IQ
-	// staging buffer is leased and returned inside each job (the packet
-	// payload copied the compressed samples); results land by index, so the
-	// merge order below is deterministic.
-	par.ForEach(len(jobs), func(i int) {
-		pdu := &dl.PDUs[i]
-		n := c.codec.SymbolsPerBlock(pdu.Alloc.Mod)
-		n += (12 - n%12) % 12
-		iq := c.codec.AppendEncodeBlock(mem.GetComplexCap(n), jobs[i].tb, slot, pdu.UEID, pdu.Alloc.Mod)
-		iq = PadSymbols(iq)
-		pkt, err := fronthaul.NewDownlinkIQ(c.id, jobs[i].seq, fronthaul.SlotFromCounter(slot),
-			uint16(pdu.Alloc.StartPRB), uint16(pdu.Alloc.NumPRB), iq, c.codec.Mantissa)
-		mem.PutComplex(iq)
-		if err != nil {
-			return
-		}
-		jobs[i].pkt = pkt
-	})
+	// Phase 2 (parallel): pure compute — encode, pad, BFP-compress
+	// (encodeDL); results land by index, so the merge order below is
+	// deterministic.
+	p.dl = dlEncode{c: c, slot: slot, cfg: dl, jobs: jobs}
+	par.ForEach(len(jobs), p.dlEncodeFn)
+	p.dl = dlEncode{}
 
 	// Phase 3 (sequential): schedule sends in PDU order.
 	for i := range jobs {
@@ -661,12 +666,31 @@ func (p *PHY) transmitDL(c *cell, slot uint64, dl *fapi.DLConfig) {
 	clear(payloads)
 }
 
+// encodeDL is transmitDL's parallel phase for PDU i. The IQ staging
+// buffer is leased and returned inside the job (the packet payload copied
+// the compressed samples).
+func (p *PHY) encodeDL(i int) {
+	c, slot, jobs := p.dl.c, p.dl.slot, p.dl.jobs
+	pdu := &p.dl.cfg.PDUs[i]
+	n := c.codec.SymbolsPerBlock(pdu.Alloc.Mod)
+	n += (12 - n%12) % 12
+	iq := c.codec.AppendEncodeBlock(mem.GetComplexCap(n), jobs[i].tb, slot, pdu.UEID, pdu.Alloc.Mod)
+	iq = PadSymbols(iq)
+	pkt, err := fronthaul.NewDownlinkIQ(c.id, jobs[i].seq, fronthaul.SlotFromCounter(slot),
+		uint16(pdu.Alloc.StartPRB), uint16(pdu.Alloc.NumPRB), iq, c.codec.Mantissa)
+	mem.PutComplex(iq)
+	if err != nil {
+		return
+	}
+	jobs[i].pkt = pkt
+}
+
 // HandleFrame implements netmodel.Receiver for fronthaul traffic from the
 // switch (uplink U-plane packets from the RU). The PHY is the frame's
 // terminal consumer: everything that outlives the call (IQ staging, UCI
 // reports, the TB sidecar held until drainUL) is copied out by the
 // handlers, so the frame and its wire buffer go back to the pool on
-// return.
+// return, and the decoded packet is free for the next frame.
 func (p *PHY) HandleFrame(f *netmodel.Frame) {
 	p.handleFrame(f)
 	netmodel.ReleaseFrame(f)
@@ -676,8 +700,8 @@ func (p *PHY) handleFrame(f *netmodel.Frame) {
 	if p.crashed || f.Type != netmodel.EtherTypeECPRI {
 		return
 	}
-	pkt, err := fronthaul.Decode(f.Payload)
-	if err != nil {
+	pkt := &p.rxPkt
+	if err := fronthaul.DecodeInto(pkt, f.Payload); err != nil {
 		if p.Trace != nil {
 			p.Trace.Metrics().Counter("phy.fh.decode_errors").Inc()
 		}
@@ -765,10 +789,6 @@ func (p *PHY) receiveUL(c *cell, pkt *fronthaul.Packet) {
 		// buffer is released when HandleFrame returns, but this pending
 		// entry lives until drainUL. The pending list owns the copy and
 		// hands it to the RX_DATA (decode OK) or back to the pool.
-		// Copy the TB sidecar out of the packet now: the frame's wire
-		// buffer is released when HandleFrame returns, but this pending
-		// entry lives until drainUL. The pending list owns the copy and
-		// hands it to the RX_DATA (decode OK) or back to the pool.
 		pend.aux = append(mem.GetBytesCap(len(pkt.Aux)), pkt.Aux...)
 		snrDB = pend.pb.SNRdB
 	}
@@ -825,12 +845,7 @@ func (p *PHY) drainUL(cellID uint16, slot uint64) {
 	// Ordered merge: sort by (UE, HARQ) so downstream effects (HARQ acks,
 	// CRC list order, stats) are independent of fronthaul arrival order —
 	// and trivially independent of worker scheduling.
-	sort.SliceStable(pending, func(i, j int) bool {
-		if pending[i].ue != pending[j].ue {
-			return pending[i].ue < pending[j].ue
-		}
-		return pending[i].harq < pending[j].harq
-	})
+	slices.SortStableFunc(pending, comparePendingUL)
 
 	// Parallel part: pure compute only. The slot's valid blocks are staged
 	// as one FEC batch — consecutive jobs share the cell's code, so
@@ -952,6 +967,14 @@ func (p *PHY) drainUL(cellID uint16, slot uint64) {
 		c.seenFree = append(c.seenFree, seen)
 	}
 	delete(c.ulSeen, slot)
+}
+
+// comparePendingUL orders pending receptions by (UE, HARQ process).
+func comparePendingUL(a, b pendingUL) int {
+	if c := cmp.Compare(a.ue, b.ue); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.harq, b.harq)
 }
 
 // applyMIMOError injects the residual equalization error of a partially

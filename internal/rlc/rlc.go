@@ -137,6 +137,10 @@ type Rx struct {
 	partial []byte
 	inPkt   bool
 
+	// out is the delivered-packet list Ingest and SkipGap return, reused
+	// across calls.
+	out [][]byte
+
 	// Delivered and Discarded count packets for loss accounting.
 	Delivered uint64
 	Discarded uint64
@@ -162,7 +166,9 @@ func NewRx() *Rx {
 }
 
 // Ingest processes one received PDU and returns any packets that complete
-// in order. Duplicate and ancient PDUs are dropped.
+// in order. Duplicate and ancient PDUs are dropped. The returned list is
+// the receiver's own storage, valid until its next Ingest or SkipGap; the
+// packets in it belong to the caller.
 func (r *Rx) Ingest(pdu []byte) ([][]byte, error) {
 	if len(pdu) < pduHeader {
 		return nil, ErrMalformed
@@ -202,7 +208,8 @@ func (r *Rx) flushGapTo(sn uint16) {
 }
 
 // SkipGap abandons the current head-of-line gap, delivering what follows.
-// Callers invoke this on a reassembly timer.
+// Callers invoke this on a reassembly timer. The returned list follows
+// Ingest's lifetime rule.
 func (r *Rx) SkipGap() [][]byte {
 	if _, ok := r.pending[r.expected]; ok {
 		return nil
@@ -231,7 +238,9 @@ func (r *Rx) HasGap() bool {
 }
 
 func (r *Rx) drain() ([][]byte, error) {
-	var out [][]byte
+	clear(r.out)
+	out := r.out[:0]
+	var err error
 	for {
 		pdu, ok := r.pending[r.expected]
 		if !ok {
@@ -239,22 +248,25 @@ func (r *Rx) drain() ([][]byte, error) {
 		}
 		delete(r.pending, r.expected)
 		r.expected++
-		pkts, err := r.parse(pdu)
+		n := len(out)
+		out, err = r.parse(out, pdu)
 		// parse copied every segment it kept into r.partial, so the
 		// buffered PDU is dead either way.
 		mem.PutBytes(pdu)
 		if err != nil {
-			return out, err
+			// A malformed PDU delivers none of its packets.
+			out = out[:n]
+			break
 		}
-		out = append(out, pkts...)
 	}
-	return out, nil
+	r.out = out
+	return out, err
 }
 
-func (r *Rx) parse(pdu []byte) ([][]byte, error) {
+// parse appends the packets pdu completes to out.
+func (r *Rx) parse(out [][]byte, pdu []byte) ([][]byte, error) {
 	nSegs := int(binary.BigEndian.Uint16(pdu[2:4]))
 	body := pdu[pduHeader:]
-	var out [][]byte
 	for i := 0; i < nSegs; i++ {
 		if len(body) < segHeader {
 			return out, ErrMalformed

@@ -17,15 +17,26 @@ import (
 
 // AttachedUE is the over-the-air contract between the RU and a UE. The ue
 // package's UE implements it.
+//
+// Buffers cross the interface by loan, in both directions, so the slot
+// path allocates nothing: the RU reuses its decoded packet and section
+// slice for the next frame, and a UE reuses its returned buffers as stated
+// per method. Neither side retains what it was lent.
 type AttachedUE interface {
 	ID() uint16
-	// DeliverControl hands the slot's C-plane sections to the UE.
+	// DeliverControl hands the slot's C-plane sections to the UE. secs is
+	// valid only during the call.
 	DeliverControl(absSlot uint64, secs []fronthaul.Section)
-	// DeliverDownlink hands a DL U-plane packet to the UE.
+	// DeliverDownlink hands a DL U-plane packet to the UE. pkt and the
+	// frame bytes it aliases are valid only during the call.
 	DeliverDownlink(absSlot uint64, pkt *fronthaul.Packet)
-	// PullUplink asks the UE for its granted uplink transmission.
+	// PullUplink asks the UE for its granted uplink transmission. iq is
+	// valid until the UE's next PullUplink; aux until the UE's next new
+	// transmission on the same HARQ process.
 	PullUplink(absSlot uint64) (iq []complex128, aux []byte, ok bool)
-	// CollectUCI drains the UE's pending control reports.
+	// CollectUCI drains the UE's pending control reports. The slice is
+	// valid until the UE next queues a report (its next DeliverControl or
+	// DeliverDownlink).
 	CollectUCI() []fapi.UCI
 }
 
@@ -75,6 +86,13 @@ type RU struct {
 	lastDL    sim.Time
 	everDL    bool
 	txFn      func(any) // long-lived transmit callback for pooled events
+
+	// Receive and status staging, reused every frame and slot: the decoded
+	// DL packet, its parsed sections, and the UCI reports gathered for the
+	// UL C-plane status packet.
+	rxPkt   fronthaul.Packet
+	rxSecs  []fronthaul.Section
+	reports []fapi.UCI
 }
 
 // New creates an RU.
@@ -118,10 +136,11 @@ func (r *RU) onSlot() {
 }
 
 func (r *RU) sendStatus(slot uint64) {
-	var reports []fapi.UCI
+	reports := r.reports[:0]
 	for _, u := range r.ues {
 		reports = append(reports, u.CollectUCI()...)
 	}
+	r.reports = reports
 	pkt := fronthaul.NewControl(r.Cfg.Cell, r.seq, fronthaul.Uplink,
 		fronthaul.SlotFromCounter(slot), 0)
 	r.seq++
@@ -185,7 +204,8 @@ func (r *RU) transmit(offset sim.Time, pkt *fronthaul.Packet, virtual int) {
 // HandleFrame receives downlink fronthaul from the switch and beams it to
 // the UEs. The RU is the frame's terminal consumer: sections and IQ are
 // decoded (copied) into the UEs synchronously, so the frame and its wire
-// buffer go back to the pool on return.
+// buffer go back to the pool on return, and the decoded packet and
+// section staging are free for the next frame.
 func (r *RU) HandleFrame(f *netmodel.Frame) {
 	r.handleFrame(f)
 	netmodel.ReleaseFrame(f)
@@ -195,8 +215,8 @@ func (r *RU) handleFrame(f *netmodel.Frame) {
 	if f.Type != netmodel.EtherTypeECPRI {
 		return
 	}
-	pkt, err := fronthaul.Decode(f.Payload)
-	if err != nil {
+	pkt := &r.rxPkt
+	if err := fronthaul.DecodeInto(pkt, f.Payload); err != nil {
 		r.Stats.DecodeErr++
 		return
 	}
@@ -212,11 +232,12 @@ func (r *RU) handleFrame(f *netmodel.Frame) {
 	switch pkt.Type {
 	case fronthaul.MsgRTControl:
 		r.Stats.DLControlRx++
-		secs, err := fronthaul.DecodeSections(pkt.Payload)
+		secs, err := fronthaul.AppendDecodeSections(r.rxSecs[:0], pkt.Payload)
 		if err != nil {
 			r.Stats.DecodeErr++
 			return
 		}
+		r.rxSecs = secs
 		for _, u := range r.ues {
 			u.DeliverControl(abs, secs)
 		}

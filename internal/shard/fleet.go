@@ -491,7 +491,23 @@ type Fleet struct {
 	started  bool
 	now      sim.Time
 	finished *Report
+
+	// Long-lived callbacks for the per-step paths, so a step schedules
+	// no fresh closure: runGroup advances one runner group to stepTo, and
+	// deliverFn fires one inter-shard delivery (a pooled *delivery).
+	stepTo    sim.Time
+	runGroup  func(g int)
+	deliverFn func(any)
 }
+
+// delivery carries one inter-shard message to its destination cell's
+// engine.
+type delivery struct {
+	dst *cellSim
+	m   Message
+}
+
+var deliveryPool = mem.NewPool[delivery](func(d *delivery) { *d = delivery{} })
 
 // zoned reports whether this run renders topology/zone lines: any
 // multi-zone layout or correlated-fault/deadline knob. Flat PR-5 configs
@@ -598,6 +614,20 @@ func New(cfg Config) (*Fleet, error) {
 	}
 
 	f := &Fleet{cfg: cfg, latency: cfg.BackhaulLatency, zones: zones}
+	f.runGroup = func(g int) {
+		for _, ci := range f.groups[g] {
+			f.cells[ci].eng.RunUntil(f.stepTo)
+		}
+	}
+	f.deliverFn = func(a any) {
+		d := a.(*delivery)
+		dst, m := d.dst, d.m
+		deliveryPool.Put(d)
+		dst.onMessage(f, m)
+		// The handlers digest the payload but never retain it; the pooled
+		// copy DecodePooled leased goes back at delivery.
+		mem.PutBytes(m.Payload)
+	}
 	if cfg.Trace {
 		f.reg = trace.NewRegistry()
 	}
@@ -835,7 +865,7 @@ func (f *Fleet) buildCell(idx, perCell int) *cellSim {
 				d.SendDownlink(id, chaos.TrafficPacket(true, id, cs.dlSeq[j], f.cfg.PacketBytes))
 			}
 			if cs.eng.Now()+f.cfg.TrafficPeriod < stopAt {
-				cs.eng.After(f.cfg.TrafficPeriod, "fleet.traffic", tick)
+				cs.eng.AfterPooled(f.cfg.TrafficPeriod, "fleet.traffic", tick)
 			}
 		}
 		cs.eng.At(f.cfg.Settle, "fleet.traffic", tick)
@@ -939,14 +969,9 @@ func (f *Fleet) exchange(now, next sim.Time) error {
 			mem.PutBytes(m.Payload)
 			return // fuzz-grade safety; the fleet never addresses outside itself
 		}
-		dst := f.cells[m.Dst]
-		held := m
-		dst.eng.At(m.At, "fleet.deliver", func() {
-			dst.onMessage(f, held)
-			// The handlers digest the payload but never retain it; the
-			// pooled copy DecodePooled leased goes back at delivery.
-			mem.PutBytes(held.Payload)
-		})
+		d := deliveryPool.Get()
+		d.dst, d.m = f.cells[m.Dst], m
+		d.dst.eng.AtArgPooled(m.At, "fleet.deliver", f.deliverFn, d)
 	})
 	return nil
 }
@@ -1053,11 +1078,8 @@ func (f *Fleet) Step() (done bool, err error) {
 	if t > f.cfg.Horizon {
 		t = f.cfg.Horizon
 	}
-	par.ForEach(len(f.groups), func(g int) {
-		for _, ci := range f.groups[g] {
-			f.cells[ci].eng.RunUntil(t)
-		}
-	})
+	f.stepTo = t
+	par.ForEach(len(f.groups), f.runGroup)
 	if err := f.exchange(t, t+f.cfg.Step); err != nil {
 		return false, err
 	}

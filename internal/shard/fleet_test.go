@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
+	"slingshot/internal/mem"
 	"slingshot/internal/par"
 	"slingshot/internal/sim"
 )
@@ -224,5 +226,43 @@ func TestFleetTraceAggregation(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("traced report missing %q", want)
 		}
+	}
+}
+
+// TestFleetMallocsPerCellTTI bounds the fleet's steady-state garbage: a
+// ChaosConfig(16, 16) fleet, warmed for 200 steps, then measured over 200
+// more with kills, spare grants and traffic under way. The per-TTI radio,
+// fronthaul and barrier paths allocate nothing; the allowance covers the
+// application packets (stamp, RLC enqueue, reassembly) and the event
+// calendar's ring buckets still growing to their working capacity.
+func TestFleetMallocsPerCellTTI(t *testing.T) {
+	const cells, steps, bound = 16, 200, 3.0
+	if mem.DetectorArmed() {
+		t.Skip("pool leak detector armed (-race or SLINGSHOT_POOL=debug); its bookkeeping allocates")
+	}
+	prev := mem.SetEnabled(true)
+	defer mem.SetEnabled(prev)
+	f, err := New(ChaosConfig(cells, cells))
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		for i := 0; i < steps; i++ {
+			if _, err := f.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	step()
+	runtime.ReadMemStats(&after)
+	perCellTTI := float64(after.Mallocs-before.Mallocs) / (cells * steps)
+	if perCellTTI > bound {
+		t.Fatalf("fleet allocates %.2f times per cell-TTI, want <= %.1f", perCellTTI, bound)
+	}
+	if f.ViolationsLive() != 0 {
+		t.Fatalf("%d invariant violations", f.ViolationsLive())
 	}
 }

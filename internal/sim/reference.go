@@ -5,7 +5,7 @@ import "container/heap"
 // ReferenceEngine is the seed's single-binary-heap discrete-event core,
 // retained verbatim (modulo the rename) as the behavioral reference for
 // the two-tier calendar/4-ary queue in queue.go — the same pattern as
-// fec/reference.go and fronthaul/bfp_reference.go: the slow, obviously
+// fec/reference_test.go and fronthaul/bfp_reference.go: the slow, obviously
 // correct implementation stays in the tree and randomized differential
 // tests pin the fast path to it. It intentionally keeps the eager
 // heap.Remove and interface-boxed container/heap machinery the optimized

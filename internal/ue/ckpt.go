@@ -1,6 +1,7 @@
 package ue
 
 import (
+	"slices"
 	"sort"
 
 	"slingshot/internal/ckpt/wire"
@@ -59,18 +60,28 @@ func (u *UE) SnapshotTo(w *wire.W) {
 		snapSection(w, u.grants[slot])
 	}
 
-	assigSlots := make([]uint64, 0, len(u.dlAssig))
-	for slot := range u.dlAssig {
-		assigSlots = append(assigSlots, slot)
+	// DL assignments group by slot in ascending order, arrival order
+	// within a slot.
+	var assigSlots []uint64
+	for _, sec := range u.dlAssig {
+		assigSlots = append(assigSlots, sec.GrantSlot)
 	}
-	sort.Slice(assigSlots, func(i, j int) bool { return assigSlots[i] < assigSlots[j] })
+	slices.Sort(assigSlots)
+	assigSlots = slices.Compact(assigSlots)
 	w.U32(uint32(len(assigSlots)))
 	for _, slot := range assigSlots {
 		w.U64(slot)
-		secs := u.dlAssig[slot]
-		w.U32(uint32(len(secs)))
-		for _, sec := range secs {
-			snapSection(w, sec)
+		n := 0
+		for _, sec := range u.dlAssig {
+			if sec.GrantSlot == slot {
+				n++
+			}
+		}
+		w.U32(uint32(n))
+		for _, sec := range u.dlAssig {
+			if sec.GrantSlot == slot {
+				snapSection(w, sec)
+			}
 		}
 	}
 

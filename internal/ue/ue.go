@@ -6,6 +6,8 @@
 package ue
 
 import (
+	"slices"
+
 	"slingshot/internal/dsp"
 	"slingshot/internal/fapi"
 	"slingshot/internal/fronthaul"
@@ -110,10 +112,18 @@ type UE struct {
 	harqDL *harq.Pool
 	harqTx map[uint8][]byte
 
-	grants  map[uint64]fronthaul.Section
-	dlAssig map[uint64][]fronthaul.Section
+	grants map[uint64]fronthaul.Section
+	// dlAssig holds the announced DL data sections in arrival order; a
+	// slot may carry several for this UE (e.g. a HARQ retransmission plus
+	// new data), matched to U-plane packets by slot and start PRB.
+	dlAssig []fronthaul.Section
 	uciQ    []fapi.UCI
 	cqi     harq.SNRFilter
+
+	// ulIQ and dlIQ are the UE-owned sample buffers of the uplink encoder
+	// and the downlink receiver, reused every slot (see PullUplink).
+	ulIQ []complex128
+	dlIQ []complex128
 
 	lastAdvSlot uint64
 	gapSince    sim.Time
@@ -151,7 +161,7 @@ func (u *UE) resetBearers() {
 	}
 	u.harqTx = make(map[uint8][]byte)
 	u.grants = make(map[uint64]fronthaul.Section)
-	u.dlAssig = make(map[uint64][]fronthaul.Section)
+	u.dlAssig = u.dlAssig[:0]
 	u.uciQ = nil
 }
 
@@ -284,10 +294,7 @@ func (u *UE) DeliverControl(absSlot uint64, secs []fronthaul.Section) {
 		if s.Dir == fronthaul.Uplink {
 			u.grants[s.GrantSlot] = s
 		} else {
-			// A slot may carry several DL PDUs for one UE (e.g. a HARQ
-			// retransmission plus new data); keep them all and match
-			// U-plane packets by allocation start PRB.
-			u.dlAssig[s.GrantSlot] = append(u.dlAssig[s.GrantSlot], s)
+			u.dlAssig = append(u.dlAssig, s)
 		}
 	}
 	// Periodic CQI report.
@@ -300,11 +307,9 @@ func (u *UE) DeliverControl(absSlot uint64, secs []fronthaul.Section) {
 			delete(u.grants, s)
 		}
 	}
-	for s := range u.dlAssig {
-		if s+20 < absSlot {
-			delete(u.dlAssig, s)
-		}
-	}
+	u.dlAssig = slices.DeleteFunc(u.dlAssig, func(s fronthaul.Section) bool {
+		return s.GrantSlot+20 < absSlot
+	})
 }
 
 // DeliverDownlink receives a DL U-plane packet over the air: the UE passes
@@ -318,24 +323,20 @@ func (u *UE) DeliverDownlink(absSlot uint64, pkt *fronthaul.Packet) {
 	if pkt.Section != u.Cfg.ID {
 		return
 	}
-	var sec fronthaul.Section
-	found := false
-	for _, s := range u.dlAssig[absSlot] {
-		if s.StartPRB == pkt.StartPRB {
-			sec = s
-			found = true
-			break
-		}
-	}
-	if !found {
+	i := slices.IndexFunc(u.dlAssig, func(s fronthaul.Section) bool {
+		return s.GrantSlot == absSlot && s.StartPRB == pkt.StartPRB
+	})
+	if i < 0 {
 		return
 	}
+	sec := u.dlAssig[i]
 	u.advanceChannel(absSlot)
-	iq, err := pkt.IQ()
+	iq, err := pkt.AppendIQ(u.dlIQ[:0])
 	if err != nil {
 		return
 	}
-	rx := u.Channel.Transmit(iq)
+	u.dlIQ = iq
+	rx := u.Channel.TransmitInto(iq, iq)
 	out := u.codec.DecodeBlock(rx, absSlot, u.Cfg.ID, dsp.Modulation(sec.ModBits),
 		u.harqDL, sec.HARQID, sec.NewData, phy.DefaultFECIter)
 	u.cqi.Observe(out.SNRdB)
@@ -365,6 +366,8 @@ func (u *UE) deliverPackets(pkts [][]byte) {
 // PullUplink produces the UE's uplink transmission for a granted slot:
 // channel-distorted block symbols plus the sidecar transport-block bytes.
 // ok is false when the UE has no grant (or is detached) — radio silence.
+// The symbols live in a UE-owned buffer that the next PullUplink
+// overwrites; aux is the HARQ process's parked transport block.
 func (u *UE) PullUplink(absSlot uint64) (iq []complex128, aux []byte, ok bool) {
 	if u.state != StateConnected || u.codec == nil {
 		return nil, nil, false
@@ -396,16 +399,18 @@ func (u *UE) PullUplink(absSlot uint64) (iq []complex128, aux []byte, ok bool) {
 	// Scrambling keys on the transmission slot. Descrambling happens
 	// before HARQ combining on the receive side, so retransmissions under
 	// different slot keys still combine coherently over the codeword.
-	clean := phy.PadSymbols(u.codec.EncodeBlock(tb, absSlot, u.Cfg.ID, dsp.Modulation(sec.ModBits)))
+	iq = phy.PadSymbols(u.codec.AppendEncodeBlock(u.ulIQ[:0], tb, absSlot, u.Cfg.ID, dsp.Modulation(sec.ModBits)))
+	u.ulIQ = iq
 	u.Stats.ULBlocksSent++
-	return u.Channel.Transmit(clean), tb, true
+	return u.Channel.TransmitInto(iq, iq), tb, true
 }
 
 // CollectUCI drains the queued UCI reports (the RU ships them on the UL
-// C-plane every slot).
+// C-plane every slot). The returned slice is the UE's queue storage: it is
+// valid until the UE's next DeliverControl or DeliverDownlink.
 func (u *UE) CollectUCI() []fapi.UCI {
 	out := u.uciQ
-	u.uciQ = nil
+	u.uciQ = out[:0]
 	return out
 }
 

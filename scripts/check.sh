@@ -51,6 +51,13 @@ SLINGSHOT_WORKERS=4 go test -race ./internal/fronthaul -count=1 \
 SLINGSHOT_WORKERS=4 go test -race ./internal/phy -count=1 \
     -run 'TestLLRLane'
 
+echo "== buffer-reuse poison lane (SLINGSHOT_POOL=debug) =="
+# Debug mode overwrites every released []byte/[]complex128 with a fixed
+# poison pattern, so a read through a stale alias changes the pooled run's
+# report deterministically and the pooled-vs-unpooled comparison fails on
+# the first run instead of flickering with pool order.
+SLINGSHOT_POOL=debug go test . -count=1 -run 'TestReportsInvariantToPooling'
+
 echo "== scheduler differential lane (-race, two-tier queue vs reference heap) =="
 # The event core's two-tier calendar/heap queue is pinned to the seed's
 # container/heap engine kept in-tree (sim/reference.go): randomized op
