@@ -8,10 +8,11 @@ import (
 )
 
 // TestDemodulateMatchesReference pins the closed-form max-log demodulator
-// to the retained full-scan oracle (demod_reference.go): bit-exact LLRs for
-// every constellation over in-range, saturated, near-zero, and exactly-on-
-// level symbols (the bracket boundaries where a wrong nearest-candidate
-// choice would first show), including the noiseVar clamp path.
+// to the retained full-scan oracle (demod_reference_test.go): bit-exact
+// LLRs for every constellation over in-range, saturated, near-zero, and
+// exactly-on-level symbols (the bracket boundaries where a wrong
+// nearest-candidate choice would first show), including the noiseVar clamp
+// path.
 func TestDemodulateMatchesReference(t *testing.T) {
 	rng := sim.NewRNG(99)
 	mods := []Modulation{QPSK, QAM16, QAM64, QAM256}

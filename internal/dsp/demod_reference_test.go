@@ -8,7 +8,8 @@ import "math"
 // the closed-form piecewise-linear demodulator in modulation.go —
 // TestDemodulateMatchesReference asserts the production path is bit-exact
 // against it for every constellation — and the plainest statement of the
-// metric for readers. It is not called from any hot path.
+// metric for readers. As a _test.go file it stays out of the production
+// build.
 
 // DemodulateReference computes per-bit LLRs exactly like Demodulate but via
 // the retained full-scan reference implementation.

@@ -19,7 +19,7 @@ import (
 // 24 real values, find the peak and exponent in the float bit domain, then
 // quantize/pack (or unpack/dequantize) the whole block with branch-free
 // inner loops. Output is byte-exact with the retained reference codec
-// (bfp_reference.go) for all finite inputs — the exponent comes straight
+// (bfp_reference_test.go) for all finite inputs — the exponent comes straight
 // from the IEEE exponent field instead of a doubling loop, quantization
 // folds the exact power-of-two scale into one multiply, and dequantization
 // reads the once-rounded q/maxMant quotient from a per-width table.

@@ -10,8 +10,8 @@ import (
 // division per dequantized value. It is the differential-test oracle for the
 // staged codec in bfp.go — TestBFPMatchesReference asserts the production
 // path is byte-exact (encode) and bit-exact (decode) against it for every
-// mantissa width — and the plainest statement of the format for readers. It
-// is not called from any hot path.
+// mantissa width — and the plainest statement of the format for readers. As
+// a _test.go file it stays out of the production build.
 
 // CompressBFPReference encodes exactly like CompressBFP but via the retained
 // reference implementation.

@@ -193,18 +193,6 @@ func (ts *TimeSeries) Mbps(i int) float64 {
 	return ts.RatePerSecond(i) * 8 / 1e6
 }
 
-// Counter is a labeled monotonic event counter.
-type Counter struct {
-	Name  string
-	Value int64
-}
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.Value++ }
-
-// Addn adds n.
-func (c *Counter) Addn(n int64) { c.Value += n }
-
 // Table renders simple aligned text tables for experiment output.
 type Table struct {
 	Header []string

@@ -150,15 +150,6 @@ func TestTimeSeriesExtendTo(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	c := Counter{Name: "drops"}
-	c.Inc()
-	c.Addn(4)
-	if c.Value != 5 {
-		t.Fatalf("Counter = %d", c.Value)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := &Table{Header: []string{"Metric", "1/s"}}
 	tab.AddRow("blackouts", "0")

@@ -8,15 +8,15 @@ import "testing"
 //     workload's shape — near-future, heavily tied timestamps that stay in
 //     the calendar tier's ring buckets.
 //   - OffGrid: uniformly scattered sub-window offsets — still calendar
-//     tier, but one event per bucket position, the worst case for the
-//     sorted-bucket insert.
+//     tier, but scheduled out of time order, so a push can land ahead of
+//     its bucket's tail instead of appending.
 //   - Mixed: the metro engine's real blend — mostly near-future grid
-//     events plus a tail of far-future timers that route through the
-//     4-ary heap tier and migrate into the calendar as the clock advances.
+//     events plus a tail of far-future timers that go through the 4-ary
+//     heap tier and are merged with the bucket heads on every pop.
 //
 // All three run the full schedule→fire cycle through the pooled (no
 // handle) path and must not allocate: the event structs recycle through
-// the engine free list and the calendar buckets were pre-carved at init.
+// the engine free list and the calendar links them through Event.next.
 
 // benchLoop schedules and drains nPer events per step using offs[i] as
 // each event's delay, forever reusing one engine.

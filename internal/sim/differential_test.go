@@ -9,7 +9,7 @@ import (
 )
 
 // The differential harness drives the optimized two-tier engine and the
-// retained ReferenceEngine (reference.go) through the same randomized
+// retained ReferenceEngine (reference_test.go) through the same randomized
 // operation sequence and asserts every observable agrees: pop order
 // (including equal-time FIFO ties, forced by coarse time quantization),
 // clock, Pending, NextSeq, Processed and QueueSnapshot. Operations cover

@@ -19,6 +19,7 @@ type Event struct {
 	doArg func(any)
 	arg   any
 
+	next     *Event // successor in its calendar bucket's chain (queue.go)
 	seq      uint64
 	canceled bool
 	removed  bool // lazily deleted by Remove; discarded when it surfaces
@@ -236,11 +237,29 @@ func (e *Engine) Every(delay, period Time, name string, fn func()) (cancel func(
 // Step executes the next pending event. It returns false when the queue is
 // empty or the engine is stopped.
 func (e *Engine) Step() bool {
-	for {
-		if e.stopped {
-			return false
-		}
-		ev := e.q.pop(e.now)
+	return e.fireNext(maxTime)
+}
+
+// RunUntil executes events until the clock would pass deadline or the queue
+// drains. The clock is left at deadline if it was reached with the queue
+// still holding later events.
+func (e *Engine) RunUntil(deadline Time) {
+	for e.fireNext(deadline) {
+	}
+	if e.now < deadline {
+		e.now = deadline
+	}
+}
+
+// maxTime is Step's deadline: every queued event is due.
+const maxTime = Time(1<<63 - 1)
+
+// fireNext fires the next event due at or before deadline and reports
+// whether it fired one. Canceled events surfacing on the way are popped,
+// and recycled if pooled, even when they are later than deadline.
+func (e *Engine) fireNext(deadline Time) bool {
+	for !e.stopped {
+		ev := e.q.popDue(e.now, deadline)
 		if ev == nil {
 			return false
 		}
@@ -258,38 +277,7 @@ func (e *Engine) Step() bool {
 		}
 		return true
 	}
-}
-
-// RunUntil executes events until the clock would pass deadline or the queue
-// drains. The clock is left at deadline if it was reached with the queue
-// still holding later events.
-func (e *Engine) RunUntil(deadline Time) {
-	for !e.stopped {
-		next := e.q.peek(e.now)
-		if next == nil {
-			break
-		}
-		if next.canceled {
-			e.q.pop(e.now)
-			if next.pooled {
-				e.recycle(next)
-			}
-			continue
-		}
-		if next.At > deadline {
-			break
-		}
-		e.q.pop(e.now)
-		e.now = next.At
-		e.Processed++
-		next.fire()
-		if next.pooled {
-			e.recycle(next)
-		}
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
+	return false
 }
 
 // Run executes events until the queue drains or Stop is called.

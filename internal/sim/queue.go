@@ -6,19 +6,21 @@ import "math/bits"
 // dominated by grid-aligned events — slot ticks every TTI, fronthaul
 // offsets inside the slot, HARQ and RLF timers a few milliseconds out —
 // so the fast path is a calendar queue: a ring of fixed-width time
-// buckets covering a sliding ~33 ms window, each bucket a slice kept
-// sorted by the engine's canonical (At, seq) key. Popping the head of
-// the first occupied bucket is O(1); an occupancy bitmap makes "first
-// occupied bucket" a handful of word tests. Events scheduled beyond the
-// window (chaos at +2.6 s, TCP RTOs, upgrade holds) go to a backing
-// 4-ary min-heap specialized to *Event — no container/heap interface
-// boxing, no per-element method calls — and are merged by comparing the
-// bucket head against the heap root on every pop.
+// buckets covering a sliding ~33 ms window, each bucket an intrusive
+// chain (Event.next) kept sorted by the engine's canonical (At, seq) key.
+// Popping the head of the first occupied bucket is O(1); an occupancy
+// bitmap makes "first occupied bucket" a handful of word tests. Events
+// scheduled beyond the window (chaos at +2.6 s, TCP RTOs, upgrade holds)
+// go to a backing 4-ary min-heap specialized to *Event — no
+// container/heap interface boxing, no per-element method calls — and are
+// merged by comparing the bucket head against the heap root on every pop.
+// The calendar tier stores nothing but the pending events themselves, so
+// a drained burst leaves no capacity behind.
 //
 // Ordering proof sketch: every pop takes the lexicographic (At, seq)
-// minimum of {head of first occupied bucket, heap root}. Bucket slices
-// are fully sorted by (At, seq) (binary-insert on push), live events in
-// one bucket all share the same At>>bucketShift generation, and the
+// minimum of {head of first occupied bucket, heap root}. Bucket chains
+// are fully sorted by (At, seq) (upper-bound insert on push), live events
+// in one bucket all share the same At>>bucketShift generation, and the
 // circular scan from the clock's own bucket visits generations in
 // increasing order, so the first occupied bucket's head is the minimum
 // across all buckets. The heap root is the minimum of the heap tier by
@@ -41,12 +43,6 @@ const (
 	numBuckets = 512
 	bucketMask = numBuckets - 1
 	occWords   = numBuckets / 64
-	// bucketCap is each bucket's initial capacity, carved from one shared
-	// slab on first use so touching a fresh ring position never allocates
-	// (a warm engine is steady-state alloc-free even before the ring has
-	// wrapped once). Buckets that outgrow it reallocate individually and
-	// keep the larger capacity.
-	bucketCap = 8
 )
 
 // before is the canonical scheduling order: fire time, then FIFO by
@@ -58,6 +54,12 @@ func before(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
+// chain is one calendar bucket: a singly linked list through Event.next,
+// sorted by (At, seq). Both ends are nil when the bucket is empty.
+type chain struct {
+	head, tail *Event
+}
+
 // calQueue is the two-tier pending-event store. The zero value is ready
 // to use.
 type calQueue struct {
@@ -67,90 +69,65 @@ type calQueue struct {
 	// live counts queued, non-removed events across both tiers —
 	// exactly the old physical heap length (canceled events count until
 	// they fire; removed events stop counting at Remove).
-	live int
-	// srcHeap marks the heap tier in min/take results.
+	live    int
 	heap    []*Event
-	pos     [numBuckets]int32
 	occ     [occWords]uint64
-	buckets [numBuckets][]*Event
-	inited  bool
-}
-
-// init carves every bucket's initial storage from one contiguous slab
-// (numBuckets × bucketCap pointers, ~32 KiB) — one allocation for the
-// engine's whole lifetime instead of one per first-touched bucket.
-func (q *calQueue) init() {
-	q.inited = true
-	slab := make([]*Event, numBuckets*bucketCap)
-	for b := range q.buckets {
-		q.buckets[b] = slab[b*bucketCap : b*bucketCap : (b+1)*bucketCap]
-	}
+	buckets [numBuckets]chain
 }
 
 // srcHeap is the tier marker min returns for heap-root candidates;
 // non-negative sources are bucket ring positions.
 const srcHeap = -1
 
-// push queues ev, routing by distance from the calendar window's base.
-// The caller has already (re)initialized At/seq/flags via Engine.push.
-func (q *calQueue) push(ev *Event, now Time) {
-	if !q.inited {
-		q.init()
-	}
-	ev.queued, ev.removed = true, false
-	q.live++
-	k := int64(ev.At) >> bucketShift
+// advance moves cur up to the clock's bucket. The clock may have advanced
+// past cur without pops (RunUntil to an idle barrier); live events never
+// exist behind now.
+func (q *calQueue) advance(now Time) {
 	if nowK := int64(now) >> bucketShift; q.cur < nowK {
-		// The clock may have advanced past cur without pops (RunUntil
-		// to an idle barrier); live events never exist behind now.
 		q.cur = nowK
 	}
+}
+
+// push queues ev, routing by distance from the calendar window's base.
+// The caller has already (re)initialized At/seq/flags via Engine.push;
+// ev.next is nil because take clears it.
+func (q *calQueue) push(ev *Event, now Time) {
+	ev.queued, ev.removed = true, false
+	q.live++
+	q.advance(now)
+	k := int64(ev.At) >> bucketShift
 	if k-q.cur >= numBuckets {
 		q.heapPush(ev)
 		return
 	}
 	b := int(k & bucketMask)
-	s := q.buckets[b]
-	p := int(q.pos[b])
-	if len(s) == p {
-		// Bucket fully drained (or never used): restart it.
-		q.buckets[b] = append(s[:0], ev)
-		q.pos[b] = 0
+	c := &q.buckets[b]
+	switch {
+	case c.head == nil:
+		c.head, c.tail = ev, ev
 		q.occ[b>>6] |= 1 << (b & 63)
-		return
-	}
-	q.occ[b>>6] |= 1 << (b & 63)
-	if !before(ev, s[len(s)-1]) {
+	case !before(ev, c.tail):
 		// Common case: monotone arrival within the bucket.
-		q.buckets[b] = append(s, ev)
-		return
-	}
-	// Binary upper-bound insert into the undrained tail [p:]: the new
-	// event carries the largest seq, so it lands after every equal-At
-	// entry, preserving FIFO ties.
-	lo, hi := p, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if before(ev, s[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
+		c.tail.next, c.tail = ev, ev
+	case before(ev, c.head):
+		ev.next, c.head = c.head, ev
+	default:
+		// Upper-bound walk: the new event carries the largest seq, so it
+		// lands after every equal-At entry, preserving FIFO ties. The
+		// walk stops before the tail, which orders after ev.
+		p := c.head
+		for !before(ev, p.next) {
+			p = p.next
 		}
+		ev.next, p.next = p.next, ev
 	}
-	s = append(s, nil)
-	copy(s[lo+1:], s[lo:len(s)-1])
-	s[lo] = ev
-	q.buckets[b] = s
 }
 
 // min returns the next event in (At, seq) order without removing it,
 // plus its tier (bucket ring position, or srcHeap). Removed events are
-// included — peek/pop discard them. Returns nil when both tiers are
-// empty.
+// included — popDue discards them. Returns nil when both tiers are empty.
 func (q *calQueue) min(now Time) (*Event, int) {
-	if nowK := int64(now) >> bucketShift; q.cur < nowK {
-		q.cur = nowK
-	}
+	q.advance(now)
 	var bev *Event
 	bpos := srcHeap
 	// Scan the occupancy bitmap circularly from cur's ring position;
@@ -160,9 +137,8 @@ func (q *calQueue) min(now Time) (*Event, int) {
 	word := q.occ[w] &^ ((1 << (start & 63)) - 1)
 	for i := 0; i <= occWords; i++ {
 		if word != 0 {
-			b := w<<6 + bits.TrailingZeros64(word)
-			bev = q.buckets[b][q.pos[b]]
-			bpos = b
+			bpos = w<<6 + bits.TrailingZeros64(word)
+			bev = q.buckets[bpos].head
 			break
 		}
 		w++
@@ -187,40 +163,23 @@ func (q *calQueue) take(ev *Event, src int) {
 		q.heapPop()
 		return
 	}
-	s := q.buckets[src]
-	p := int(q.pos[src])
-	s[p] = nil // drop the pointer so fired events are collectable
-	p++
-	if p == len(s) {
-		q.buckets[src] = s[:0]
-		q.pos[src] = 0
+	c := &q.buckets[src]
+	c.head, ev.next = ev.next, nil
+	if c.head == nil {
+		c.tail = nil
 		q.occ[src>>6] &^= 1 << (src & 63)
-		return
-	}
-	q.pos[src] = int32(p)
-}
-
-// peek returns the next live-or-canceled event without removing it,
-// discarding lazily-removed garbage it surfaces on the way. Returns nil
-// when the queue is logically empty.
-func (q *calQueue) peek(now Time) *Event {
-	for {
-		ev, src := q.min(now)
-		if ev == nil {
-			return nil
-		}
-		if !ev.removed {
-			return ev
-		}
-		q.take(ev, src) // removed garbage: already uncounted by Remove
 	}
 }
 
-// pop removes and returns what peek would return.
-func (q *calQueue) pop(now Time) *Event {
+// popDue removes and returns the next non-removed event if it is canceled
+// or due at or before deadline, discarding lazily-removed garbage it
+// surfaces on the way — one min scan per returned event. Returns nil when
+// the queue is logically empty or its next live event is later than
+// deadline.
+func (q *calQueue) popDue(now, deadline Time) *Event {
 	for {
 		ev, src := q.min(now)
-		if ev == nil {
+		if ev == nil || (!ev.canceled && ev.At > deadline) {
 			return nil
 		}
 		q.take(ev, src)
@@ -239,8 +198,7 @@ func (q *calQueue) snapshot(out []QueuedEvent) []QueuedEvent {
 		}
 	}
 	for b := range q.buckets {
-		s := q.buckets[b]
-		for _, ev := range s[q.pos[b]:] {
+		for ev := q.buckets[b].head; ev != nil; ev = ev.next {
 			add(ev)
 		}
 	}

@@ -5,13 +5,11 @@ import "container/heap"
 // ReferenceEngine is the seed's single-binary-heap discrete-event core,
 // retained verbatim (modulo the rename) as the behavioral reference for
 // the two-tier calendar/4-ary queue in queue.go — the same pattern as
-// fec/reference_test.go and fronthaul/bfp_reference.go: the slow, obviously
-// correct implementation stays in the tree and randomized differential
-// tests pin the fast path to it. It intentionally keeps the eager
-// heap.Remove and interface-boxed container/heap machinery the optimized
-// engine replaced.
-//
-// It is exported for tests only; production code uses Engine.
+// fec/reference_test.go and fronthaul/bfp_reference_test.go: the slow,
+// obviously correct implementation stays in the tree, outside the
+// production build, and randomized differential tests pin the fast path to
+// it. It intentionally keeps the eager heap.Remove and interface-boxed
+// container/heap machinery the optimized engine replaced.
 type ReferenceEngine struct {
 	now     Time
 	queue   refHeap

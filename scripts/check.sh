@@ -38,7 +38,9 @@ go test -race . -run 'TestReportsInvariantToWorkerCount/chaos-trace' -count=1
 
 echo "== kernel differential lane (-race, hot kernels vs retained references) =="
 # The SoA/closed-form/branch-free kernels are each pinned bit-exactly to a
-# straightforward reference implementation kept in-tree. Run the
+# straightforward reference implementation kept in-tree as a test file
+# (fec/reference_test.go, dsp/demod_reference_test.go,
+# fronthaul/bfp_reference_test.go), outside the production build. Run the
 # differential suites under the race detector with the worker pool live —
 # any float reordering, tie-break change, or lane-staging race shows here
 # before it can skew a report.
@@ -60,13 +62,16 @@ SLINGSHOT_POOL=debug go test . -count=1 -run 'TestReportsInvariantToPooling'
 
 echo "== scheduler differential lane (-race, two-tier queue vs reference heap) =="
 # The event core's two-tier calendar/heap queue is pinned to the seed's
-# container/heap engine kept in-tree (sim/reference.go): randomized op
+# container/heap engine kept in-tree (sim/reference_test.go): randomized op
 # scripts (FIFO-tied bursts, far-future timers, Remove on stale handles,
 # periodic cancels) must fire identical event logs with identical clocks,
 # Pending counts and queue snapshots — the snapshot equality is what keeps
-# checkpoint fingerprints engine-independent.
+# checkpoint fingerprints engine-independent. The TestCalendar unit tests
+# pin each bucket-chain insert branch, lazy removal mid-chain, canceled
+# events past a RunUntil deadline, and that a drained burst leaves no
+# calendar capacity behind.
 SLINGSHOT_WORKERS=4 go test -race ./internal/sim -count=1 \
-    -run 'TestQueueDifferential|TestEngineStepBenchmarksDoNotAllocate'
+    -run 'TestQueueDifferential|TestEngineStepBenchmarksDoNotAllocate|TestCalendar'
 
 echo "== scheduler bench smoke (--compare over engine microbenches) =="
 # Same shape as the kernel bench smoke: one iteration of the engine
